@@ -15,12 +15,14 @@
 //! noisy to gate on.
 //!
 //! The artifacts are the hand-rolled JSON the benches emit (the repo
-//! vendors no serde); rows are one object per line, which is what this
-//! parser leans on.
+//! vendors no serde); they are read with the workspace's own JSON parser,
+//! and only the members of `rows` are rows. A malformed file is reported
+//! as an error, not a panic.
 
 #![forbid(unsafe_code)]
 
 use std::process::ExitCode;
+use storm_core::telemetry::json::{self, Value};
 
 /// One parsed throughput row.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -30,50 +32,44 @@ struct Row {
     events_per_sec: f64,
 }
 
-/// Pull `"key": <number>` out of a row line.
-fn field_num(line: &str, key: &str) -> Option<f64> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    let end = rest
-        .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-'))
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
-/// Pull `"key": true|false` out of a row line.
-fn field_bool(line: &str, key: &str) -> Option<bool> {
-    let pat = format!("\"{key}\": ");
-    let start = line.find(&pat)? + pat.len();
-    let rest = &line[start..];
-    if rest.starts_with("true") {
-        Some(true)
-    } else if rest.starts_with("false") {
-        Some(false)
-    } else {
-        None
+impl Row {
+    fn from_json(v: &Value) -> Result<Row, String> {
+        let events_per_sec = match v.req("events_per_sec")? {
+            Value::Num(tok) => tok.parse().map_err(|e| format!("events_per_sec: {e}"))?,
+            _ => return Err("member \"events_per_sec\" is not a number".into()),
+        };
+        Ok(Row {
+            nodes: v.req_u64("nodes")?,
+            group: match v.req("group_delivery")? {
+                Value::Bool(b) => *b,
+                _ => return Err("member \"group_delivery\" is not a boolean".into()),
+            },
+            events_per_sec,
+        })
     }
 }
 
-fn parse_rows(contents: &str) -> Vec<Row> {
-    contents
-        .lines()
-        .filter_map(|line| {
-            Some(Row {
-                nodes: field_num(line, "nodes")? as u64,
-                group: field_bool(line, "group_delivery")?,
-                events_per_sec: field_num(line, "events_per_sec")?,
-            })
-        })
+/// The `rows` of a `BENCH_simcore.json` document; every other member is
+/// ignored.
+fn parse_rows(contents: &str) -> Result<Vec<Row>, String> {
+    let doc = json::parse(contents)?;
+    let rows = doc
+        .req("rows")?
+        .as_arr()
+        .ok_or("member \"rows\" is not an array")?;
+    rows.iter()
+        .enumerate()
+        .map(|(i, row)| Row::from_json(row).map_err(|e| format!("rows[{i}]: {e}")))
         .collect()
 }
 
-fn load_rows(path: &str) -> Vec<Row> {
-    let contents =
-        std::fs::read_to_string(path).unwrap_or_else(|e| panic!("bench_gate: read {path}: {e}"));
-    let rows = parse_rows(&contents);
-    assert!(!rows.is_empty(), "bench_gate: no throughput rows in {path}");
-    rows
+fn load_rows(path: &str) -> Result<Vec<Row>, String> {
+    let contents = std::fs::read_to_string(path).map_err(|e| format!("read {path}: {e}"))?;
+    let rows = parse_rows(&contents).map_err(|e| format!("{path}: {e}"))?;
+    if rows.is_empty() {
+        return Err(format!("no throughput rows in {path}"));
+    }
+    Ok(rows)
 }
 
 fn main() -> ExitCode {
@@ -86,15 +82,24 @@ fn main() -> ExitCode {
         .ok()
         .and_then(|s| s.parse().ok())
         .unwrap_or(0.15);
-    let baseline = load_rows(&args[1]);
-    let current = load_rows(&args[2]);
+    let loaded = load_rows(&args[1]).and_then(|b| Ok((b, load_rows(&args[2])?)));
+    let (baseline, current) = match loaded {
+        Ok(rows) => rows,
+        Err(e) => {
+            eprintln!("bench_gate: {e}");
+            return ExitCode::FAILURE;
+        }
+    };
 
-    let gate_nodes = baseline
+    let Some(gate_nodes) = baseline
         .iter()
         .filter(|b| current.iter().any(|c| c.nodes == b.nodes))
         .map(|b| b.nodes)
         .max()
-        .expect("bench_gate: no common node count between baseline and current");
+    else {
+        eprintln!("bench_gate: no common node count between baseline and current");
+        return ExitCode::FAILURE;
+    };
 
     println!(
         "bench_gate: tolerance {:.0}% | gating at {} nodes",
@@ -159,7 +164,7 @@ mod tests {
 
     #[test]
     fn rows_parse_from_the_bench_artifact_shape() {
-        let rows = parse_rows(SAMPLE);
+        let rows = parse_rows(SAMPLE).unwrap();
         assert_eq!(rows.len(), 3);
         assert_eq!(
             rows[0],
@@ -175,7 +180,28 @@ mod tests {
     }
 
     #[test]
-    fn non_row_lines_are_ignored() {
-        assert!(parse_rows("{\n  \"bench\": \"simcore\",\n  \"rows\": []\n}").is_empty());
+    fn non_row_members_are_ignored() {
+        assert!(
+            parse_rows("{\n  \"bench\": \"simcore\",\n  \"rows\": []\n}")
+                .unwrap()
+                .is_empty()
+        );
+        // `parallel_engine` carries `nodes` too; only `rows` are rows.
+        let with_engine = SAMPLE.replace(
+            "\"bench\": \"simcore\",",
+            "\"bench\": \"simcore\",\n  \"parallel_engine\": {\"nodes\": 256, \"threads\": 4},",
+        );
+        assert_eq!(
+            parse_rows(&with_engine).unwrap(),
+            parse_rows(SAMPLE).unwrap()
+        );
+    }
+
+    #[test]
+    fn malformed_artifacts_are_errors() {
+        assert!(parse_rows("{\"rows\": [").is_err());
+        assert!(parse_rows("{\"bench\": \"simcore\"}").is_err());
+        let err = parse_rows("{\"rows\": [{\"nodes\": 64, \"group_delivery\": 1}]}").unwrap_err();
+        assert!(err.starts_with("rows[0]:"), "got: {err}");
     }
 }

@@ -65,37 +65,37 @@ type R<T> = Result<T, String>;
 // Small encode/decode helpers
 // ---------------------------------------------------------------------------
 
-fn obj(pairs: Vec<(&str, Value)>) -> Value {
-    Value::Obj(pairs.into_iter().map(|(k, v)| (k.to_string(), v)).collect())
+fn obj(pairs: Vec<(&'static str, Value<'static>)>) -> Value<'static> {
+    Value::Obj(pairs.into_iter().map(|(k, v)| (k.into(), v)).collect())
 }
 
-fn tag(name: &str, args: Vec<Value>) -> Value {
-    let mut v = vec![Value::Str(name.to_string())];
+fn tag(name: &'static str, args: Vec<Value<'static>>) -> Value<'static> {
+    let mut v = vec![Value::Str(name.into())];
     v.extend(args);
     Value::Arr(v)
 }
 
-fn time(t: SimTime) -> Value {
+fn time(t: SimTime) -> Value<'static> {
     num(t.as_nanos())
 }
 
-fn span(s: SimSpan) -> Value {
+fn span(s: SimSpan) -> Value<'static> {
     num(s.as_nanos())
 }
 
-fn fbits(x: f64) -> Value {
+fn fbits(x: f64) -> Value<'static> {
     num(x.to_bits())
 }
 
-fn boolean(b: bool) -> Value {
+fn boolean(b: bool) -> Value<'static> {
     Value::Bool(b)
 }
 
-fn string(s: &str) -> Value {
-    Value::Str(s.to_string())
+fn string(s: &str) -> Value<'static> {
+    Value::Str(s.to_owned().into())
 }
 
-fn opt<T>(v: Option<T>, f: impl FnOnce(T) -> Value) -> Value {
+fn opt<T>(v: Option<T>, f: impl FnOnce(T) -> Value<'static>) -> Value<'static> {
     match v {
         Some(x) => f(x),
         None => Value::Null,
@@ -129,11 +129,11 @@ fn dbool(v: &Value) -> R<bool> {
     }
 }
 
-fn dstr(v: &Value) -> R<&str> {
+fn dstr<'a>(v: &'a Value) -> R<&'a str> {
     v.as_str().ok_or_else(|| "expected string".into())
 }
 
-fn darr(v: &Value) -> R<&[Value]> {
+fn darr<'a>(v: &'a Value) -> R<&'a [Value<'a>]> {
     v.as_arr().ok_or_else(|| "expected array".into())
 }
 
@@ -145,25 +145,25 @@ fn dspan(v: &Value) -> R<SimSpan> {
     Ok(SimSpan::from_nanos(du64(v)?))
 }
 
-fn dopt(v: &Value) -> Option<&Value> {
+fn dopt<'a>(v: &'a Value) -> Option<&'a Value<'a>> {
     match v {
         Value::Null => None,
         other => Some(other),
     }
 }
 
-fn arg(a: &[Value], i: usize) -> R<&Value> {
+fn arg<'a>(a: &'a [Value], i: usize) -> R<&'a Value<'a>> {
     a.get(i)
         .ok_or_else(|| format!("missing tagged-array argument {i}"))
 }
 
-fn untag(v: &Value) -> R<(&str, &[Value])> {
+fn untag<'a>(v: &'a Value) -> R<(&'a str, &'a [Value<'a>])> {
     let a = darr(v)?;
     let t = dstr(a.first().ok_or_else(|| "empty tagged array".to_string())?)?;
     Ok((t, &a[1..]))
 }
 
-fn elems<'a>(v: &'a Value, k: &str) -> R<&'a [Value]> {
+fn elems<'a>(v: &'a Value, k: &str) -> R<&'a [Value<'a>]> {
     darr(v.req(k)?).map_err(|e| format!("{k}: {e}"))
 }
 
@@ -179,7 +179,7 @@ fn djob(v: &Value) -> R<JobId> {
 // Config
 // ---------------------------------------------------------------------------
 
-fn enc_order_state(s: &DeliveryOrderState) -> Value {
+fn enc_order_state(s: &DeliveryOrderState) -> Value<'static> {
     let mode = match &s.mode {
         OrderModeState::Seeded { state, amplitude } => {
             tag("seeded", vec![num(*state), num(*amplitude)])
@@ -213,7 +213,7 @@ fn dec_order_state(v: &Value) -> R<DeliveryOrderState> {
     })
 }
 
-fn enc_fault_event(e: &FaultEvent) -> Value {
+fn enc_fault_event(e: &FaultEvent) -> Value<'static> {
     match *e {
         FaultEvent::Crash { at, node } => tag("crash", vec![time(at), num(node)]),
         FaultEvent::Rejoin { at, node } => tag("rejoin", vec![time(at), num(node)]),
@@ -248,7 +248,7 @@ fn dec_fault_event(v: &Value) -> R<FaultEvent> {
     })
 }
 
-fn enc_faults(f: &FaultSchedule) -> Value {
+fn enc_faults(f: &FaultSchedule) -> Value<'static> {
     obj(vec![
         (
             "events",
@@ -292,7 +292,7 @@ fn dec_faults(v: &Value) -> R<FaultSchedule> {
     })
 }
 
-fn enc_policy(p: &FailurePolicy) -> Value {
+fn enc_policy(p: &FailurePolicy) -> Value<'static> {
     match *p {
         FailurePolicy::Fail => tag("fail", vec![]),
         FailurePolicy::Requeue {
@@ -316,7 +316,7 @@ fn dec_policy(v: &Value) -> R<FailurePolicy> {
     })
 }
 
-fn enc_daemon(d: &DaemonCosts) -> Value {
+fn enc_daemon(d: &DaemonCosts) -> Value<'static> {
     obj(vec![
         ("nm_strobe_service", span(d.nm_strobe_service)),
         ("switch_overhead", span(d.switch_overhead)),
@@ -354,7 +354,7 @@ fn dec_daemon(v: &Value) -> R<DaemonCosts> {
     })
 }
 
-fn enc_config(cfg: &ClusterConfig) -> Value {
+fn enc_config(cfg: &ClusterConfig) -> Value<'static> {
     obj(vec![
         ("nodes", num(cfg.nodes)),
         ("cpus_per_node", num(cfg.cpus_per_node)),
@@ -501,7 +501,7 @@ fn dec_config(v: &Value) -> R<ClusterConfig> {
 // Messages, decisions, replicated state
 // ---------------------------------------------------------------------------
 
-fn enc_report(k: &ReportKind) -> Value {
+fn enc_report(k: &ReportKind) -> Value<'static> {
     match *k {
         ReportKind::Started => tag("started", vec![]),
         ReportKind::Done { app_done } => tag("done", vec![time(app_done)]),
@@ -519,7 +519,7 @@ fn dec_report(v: &Value) -> R<ReportKind> {
     })
 }
 
-fn enc_decision(d: &Decision) -> Value {
+fn enc_decision(d: &Decision) -> Value<'static> {
     match *d {
         Decision::Submit { job } => tag("submit", vec![num(job.0)]),
         Decision::Place { job, slot } => tag("place", vec![num(job.0), num(slot)]),
@@ -574,7 +574,7 @@ fn dec_decision(v: &Value) -> R<Decision> {
     })
 }
 
-fn enc_core(s: &MmCoreState) -> Value {
+fn enc_core(s: &MmCoreState) -> Value<'static> {
     obj(vec![
         ("ticks", num(s.ticks)),
         ("hb_round", num(s.hb_round)),
@@ -604,7 +604,7 @@ fn dec_core(v: &Value) -> R<MmCoreState> {
     })
 }
 
-fn enc_msg(m: &Msg) -> Value {
+fn enc_msg(m: &Msg) -> Value<'static> {
     match m {
         Msg::Submit(j) => tag("submit", vec![num(j.0)]),
         Msg::Tick => tag("tick", vec![]),
@@ -774,7 +774,7 @@ fn dec_msg(v: &Value) -> R<Msg> {
 // Engine image
 // ---------------------------------------------------------------------------
 
-fn enc_group(g: &GroupState<Msg>) -> Value {
+fn enc_group(g: &GroupState<Msg>) -> Value<'static> {
     let targets = match &g.targets {
         GroupTargets::Strided { first, stride, len } => {
             tag("strided", vec![num(first.index()), num(*stride), num(*len)])
@@ -837,7 +837,7 @@ fn dec_group(v: &Value) -> R<GroupState<Msg>> {
     })
 }
 
-fn enc_arena<T>(a: &ArenaState<T>, f: impl Fn(&T) -> Value) -> Value {
+fn enc_arena<T>(a: &ArenaState<T>, f: impl Fn(&T) -> Value<'static>) -> Value<'static> {
     obj(vec![
         (
             "slots",
@@ -869,7 +869,7 @@ fn dec_arena<T>(v: &Value, f: impl Fn(&Value) -> R<T>) -> R<ArenaState<T>> {
     })
 }
 
-fn enc_engine(e: &EngineState<Msg>) -> Value {
+fn enc_engine(e: &EngineState<Msg>) -> Value<'static> {
     obj(vec![
         ("now", time(e.now)),
         ("halt", boolean(e.halt)),
@@ -1012,7 +1012,7 @@ fn dec_engine(v: &Value) -> R<EngineState<Msg>> {
 // World
 // ---------------------------------------------------------------------------
 
-fn enc_node_set(s: &NodeSet) -> Value {
+fn enc_node_set(s: &NodeSet) -> Value<'static> {
     match s {
         NodeSet::All(n) => tag("all", vec![num(*n)]),
         NodeSet::Range { start, len } => tag("range", vec![num(*start), num(*len)]),
@@ -1041,7 +1041,7 @@ fn dec_node_set(v: &Value) -> R<NodeSet> {
     })
 }
 
-fn enc_memory(m: &MemoryState) -> Value {
+fn enc_memory(m: &MemoryState) -> Value<'static> {
     obj(vec![
         ("nodes", num(m.nodes)),
         (
@@ -1114,7 +1114,7 @@ fn dec_memory(v: &Value) -> R<MemoryState> {
     })
 }
 
-fn enc_app(app: &AppSpec) -> Value {
+fn enc_app(app: &AppSpec) -> Value<'static> {
     match *app {
         AppSpec::DoNothing { binary_bytes } => tag("do_nothing", vec![num(binary_bytes)]),
         AppSpec::Sweep3d {
@@ -1157,7 +1157,7 @@ fn dec_app(v: &Value) -> R<AppSpec> {
     })
 }
 
-fn enc_workload(w: &Workload) -> Value {
+fn enc_workload(w: &Workload) -> Value<'static> {
     obj(vec![
         ("endless", boolean(w.is_endless())),
         (
@@ -1192,7 +1192,7 @@ fn dec_workload(v: &Value) -> R<Workload> {
     })
 }
 
-fn enc_cursor(c: &WorkloadCursor) -> Value {
+fn enc_cursor(c: &WorkloadCursor) -> Value<'static> {
     Value::Arr(vec![
         num(c.steps_done()),
         span(c.consumed_in_step()),
@@ -1209,7 +1209,7 @@ fn dec_cursor(v: &Value) -> R<WorkloadCursor> {
     ))
 }
 
-fn enc_job_state(s: JobState) -> Value {
+fn enc_job_state(s: JobState) -> Value<'static> {
     string(match s {
         JobState::Queued => "queued",
         JobState::Transferring => "transferring",
@@ -1234,7 +1234,7 @@ fn dec_job_state(v: &Value) -> R<JobState> {
     })
 }
 
-fn enc_job(j: &JobRecord) -> Value {
+fn enc_job(j: &JobRecord) -> Value<'static> {
     obj(vec![
         ("id", num(j.id.0)),
         (
@@ -1368,7 +1368,7 @@ fn dec_job(v: &Value) -> R<JobRecord> {
     })
 }
 
-fn enc_matrix(m: &MatrixState) -> Value {
+fn enc_matrix(m: &MatrixState) -> Value<'static> {
     obj(vec![
         ("nodes", num(m.nodes)),
         ("mpl_max", num(m.mpl_max)),
@@ -1464,7 +1464,7 @@ fn dec_matrix(v: &Value) -> R<MatrixState> {
 // Telemetry
 // ---------------------------------------------------------------------------
 
-fn enc_metric_key(k: &MetricKey) -> Value {
+fn enc_metric_key(k: &MetricKey) -> Value<'static> {
     obj(vec![
         ("name", string(k.name)),
         (
@@ -1495,7 +1495,7 @@ fn dec_metric_key(v: &Value) -> R<MetricKey> {
     })
 }
 
-fn enc_metric_value(m: &MetricValue) -> Value {
+fn enc_metric_value(m: &MetricValue) -> Value<'static> {
     match m {
         MetricValue::Counter(n) => tag("counter", vec![num(*n)]),
         MetricValue::Gauge(g) => tag("gauge", vec![num(*g)]),
@@ -1541,7 +1541,7 @@ fn dec_metric_value(v: &Value) -> R<MetricValue> {
     })
 }
 
-fn enc_condition(c: &crate::cq::Condition) -> Value {
+fn enc_condition(c: &crate::cq::Condition) -> Value<'static> {
     use crate::cq::Condition as C;
     match c {
         C::QuarantinedAbove(n) => tag("quarantined_above", vec![num(*n)]),
@@ -1567,7 +1567,7 @@ fn dec_condition(v: &Value) -> R<crate::cq::Condition> {
     })
 }
 
-fn enc_cq(cq: &crate::cq::ContinuousQueries) -> Value {
+fn enc_cq(cq: &crate::cq::ContinuousQueries) -> Value<'static> {
     obj(vec![
         (
             "queries",
@@ -1641,7 +1641,7 @@ fn dec_cq(v: &Value) -> R<crate::cq::ContinuousQueries> {
     ))
 }
 
-fn enc_telemetry(t: &Telemetry) -> Value {
+fn enc_telemetry(t: &Telemetry) -> Value<'static> {
     obj(vec![
         ("on", boolean(t.is_enabled())),
         (
@@ -1733,7 +1733,7 @@ fn dec_telemetry(v: &Value) -> R<Telemetry> {
 // World section
 // ---------------------------------------------------------------------------
 
-fn enc_world(w: &World) -> Value {
+fn enc_world(w: &World) -> Value<'static> {
     obj(vec![
         (
             "mech",
@@ -2034,7 +2034,7 @@ fn dec_world_into(v: &Value, w: &mut World) -> R<()> {
 // Dæmon private state
 // ---------------------------------------------------------------------------
 
-fn enc_mm_report(r: &(u32, JobId, u32, ReportKind)) -> Value {
+fn enc_mm_report(r: &(u32, JobId, u32, ReportKind)) -> Value<'static> {
     Value::Arr(vec![num(r.0), num(r.1 .0), num(r.2), enc_report(&r.3)])
 }
 
@@ -2048,7 +2048,7 @@ fn dec_mm_report(v: &Value) -> R<(u32, JobId, u32, ReportKind)> {
     ))
 }
 
-fn enc_mm(s: &MmState) -> Value {
+fn enc_mm(s: &MmState) -> Value<'static> {
     obj(vec![
         ("tick_scheduled", boolean(s.tick_scheduled)),
         ("collect_scheduled", boolean(s.collect_scheduled)),
@@ -2101,7 +2101,7 @@ fn dec_mm(v: &Value) -> R<MmState> {
     })
 }
 
-fn enc_nm(s: &NmState) -> Value {
+fn enc_nm(s: &NmState) -> Value<'static> {
     obj(vec![
         ("node", num(s.node)),
         ("failed", boolean(s.failed)),
@@ -2435,5 +2435,11 @@ mod tests {
         assert!(err.contains("version"), "got: {err}");
         let wrong_kind = r#"{"version": 1, "kind": "something-else"}"#;
         assert!(Cluster::restore(wrong_kind).is_err());
+        // Nesting past the parser's depth limit is an error, not a stack
+        // overflow.
+        let err = Cluster::restore(&"[".repeat(1 << 20))
+            .err()
+            .expect("deep nesting must be rejected");
+        assert!(err.contains("too deep"), "got: {err}");
     }
 }

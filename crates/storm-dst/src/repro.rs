@@ -49,9 +49,15 @@ impl Repro {
             (
                 "violation".into(),
                 Value::Obj(vec![
-                    ("oracle".into(), Value::Str(self.violation.oracle.clone())),
+                    (
+                        "oracle".into(),
+                        Value::Str(self.violation.oracle.as_str().into()),
+                    ),
                     ("at_ns".into(), num(self.violation.at.as_nanos())),
-                    ("detail".into(), Value::Str(self.violation.detail.clone())),
+                    (
+                        "detail".into(),
+                        Value::Str(self.violation.detail.as_str().into()),
+                    ),
                 ]),
             ),
             ("digest".into(), num(self.digest)),

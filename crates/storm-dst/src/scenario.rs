@@ -337,7 +337,7 @@ impl Scenario {
     // ------------------------------------------------------------- JSON —
 
     /// Serialise to a JSON [`Value`].
-    pub fn to_json(&self) -> Value {
+    pub fn to_json(&self) -> Value<'_> {
         let app = |a: &AppKind| match a {
             AppKind::Binary { mb } => Value::Obj(vec![
                 ("kind".into(), Value::Str("binary".into())),
@@ -433,7 +433,7 @@ impl Scenario {
             }
         };
         Value::Obj(vec![
-            ("name".into(), Value::Str(self.name.clone())),
+            ("name".into(), Value::Str(self.name.as_str().into())),
             ("nodes".into(), num(self.nodes)),
             ("cpus_per_node".into(), num(self.cpus_per_node)),
             ("mpl_max".into(), num(self.mpl_max)),

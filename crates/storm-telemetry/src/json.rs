@@ -1,10 +1,13 @@
 //! Minimal hand-rolled JSON support (the repo vendors no serde): a
-//! string escaper used by the exporters, a recursive-descent validator
-//! used by tests and the CI smoke bench to assert emitted artifacts
-//! actually parse, and a [`Value`] model with a parser and writer for the
-//! self-contained artifacts the workspace emits and replays (DST repro
-//! files, cluster checkpoints). Numbers keep their source token so 64-bit
-//! seeds round-trip without `f64` precision loss.
+//! string escaper used by the exporters, and a [`Value`] model with one
+//! strict, linear-time parser and a writer for the self-contained
+//! artifacts the workspace emits and replays (DST repro files, cluster
+//! checkpoints). [`validate_json`], which tests and the CI smoke bench use
+//! to assert emitted artifacts parse, is that same parser. Numbers keep
+//! their source token so 64-bit seeds round-trip without `f64` precision
+//! loss.
+
+use std::borrow::Cow;
 
 /// Append `s` to `out` with JSON string escaping (quotes, backslashes,
 /// and control characters).
@@ -26,208 +29,38 @@ pub fn escape_into(out: &mut String, s: &str) {
 
 /// Check that `s` is a single well-formed JSON value (with nothing but
 /// whitespace after it). Returns a byte offset plus message on failure.
+/// This is [`parse`] with the value dropped: there is one grammar.
 pub fn validate_json(s: &str) -> Result<(), String> {
-    let mut p = Parser {
-        b: s.as_bytes(),
-        i: 0,
-    };
-    p.skip_ws();
-    p.value(0)?;
-    p.skip_ws();
-    if p.i != p.b.len() {
-        return Err(format!("trailing data at byte {}", p.i));
-    }
-    Ok(())
+    parse(s).map(drop)
 }
 
+/// Deepest array/object nesting [`parse`] accepts. Deeper input is an
+/// error rather than a stack overflow.
 const MAX_DEPTH: usize = 128;
 
-struct Parser<'a> {
-    b: &'a [u8],
-    i: usize,
-}
-
-impl Parser<'_> {
-    fn err(&self, msg: &str) -> String {
-        format!("{msg} at byte {}", self.i)
-    }
-
-    fn skip_ws(&mut self) {
-        while self.i < self.b.len() && matches!(self.b[self.i], b' ' | b'\t' | b'\n' | b'\r') {
-            self.i += 1;
-        }
-    }
-
-    fn peek(&self) -> Option<u8> {
-        self.b.get(self.i).copied()
-    }
-
-    fn eat(&mut self, c: u8) -> Result<(), String> {
-        if self.peek() == Some(c) {
-            self.i += 1;
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{}'", c as char)))
-        }
-    }
-
-    fn literal(&mut self, lit: &str) -> Result<(), String> {
-        if self.b[self.i..].starts_with(lit.as_bytes()) {
-            self.i += lit.len();
-            Ok(())
-        } else {
-            Err(self.err(&format!("expected '{lit}'")))
-        }
-    }
-
-    fn value(&mut self, depth: usize) -> Result<(), String> {
-        if depth > MAX_DEPTH {
-            return Err(self.err("nesting too deep"));
-        }
-        match self.peek() {
-            Some(b'{') => self.object(depth),
-            Some(b'[') => self.array(depth),
-            Some(b'"') => self.string(),
-            Some(b't') => self.literal("true"),
-            Some(b'f') => self.literal("false"),
-            Some(b'n') => self.literal("null"),
-            Some(c) if c == b'-' || c.is_ascii_digit() => self.number(),
-            _ => Err(self.err("expected a JSON value")),
-        }
-    }
-
-    fn object(&mut self, depth: usize) -> Result<(), String> {
-        self.eat(b'{')?;
-        self.skip_ws();
-        if self.peek() == Some(b'}') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.string()?;
-            self.skip_ws();
-            self.eat(b':')?;
-            self.skip_ws();
-            self.value(depth + 1)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b'}') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or '}'")),
-            }
-        }
-    }
-
-    fn array(&mut self, depth: usize) -> Result<(), String> {
-        self.eat(b'[')?;
-        self.skip_ws();
-        if self.peek() == Some(b']') {
-            self.i += 1;
-            return Ok(());
-        }
-        loop {
-            self.skip_ws();
-            self.value(depth + 1)?;
-            self.skip_ws();
-            match self.peek() {
-                Some(b',') => self.i += 1,
-                Some(b']') => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                _ => return Err(self.err("expected ',' or ']'")),
-            }
-        }
-    }
-
-    fn string(&mut self) -> Result<(), String> {
-        self.eat(b'"')?;
-        while let Some(c) = self.peek() {
-            match c {
-                b'"' => {
-                    self.i += 1;
-                    return Ok(());
-                }
-                b'\\' => {
-                    self.i += 1;
-                    match self.peek() {
-                        Some(b'"' | b'\\' | b'/' | b'b' | b'f' | b'n' | b'r' | b't') => {
-                            self.i += 1;
-                        }
-                        Some(b'u') => {
-                            self.i += 1;
-                            for _ in 0..4 {
-                                match self.peek() {
-                                    Some(h) if h.is_ascii_hexdigit() => self.i += 1,
-                                    _ => return Err(self.err("bad \\u escape")),
-                                }
-                            }
-                        }
-                        _ => return Err(self.err("bad escape")),
-                    }
-                }
-                c if c < 0x20 => return Err(self.err("raw control char in string")),
-                _ => self.i += 1,
-            }
-        }
-        Err(self.err("unterminated string"))
-    }
-
-    fn number(&mut self) -> Result<(), String> {
-        if self.peek() == Some(b'-') {
-            self.i += 1;
-        }
-        let digits = |p: &mut Self| -> Result<(), String> {
-            let start = p.i;
-            while p.peek().is_some_and(|c| c.is_ascii_digit()) {
-                p.i += 1;
-            }
-            if p.i == start {
-                Err(p.err("expected digits"))
-            } else {
-                Ok(())
-            }
-        };
-        digits(self)?;
-        if self.peek() == Some(b'.') {
-            self.i += 1;
-            digits(self)?;
-        }
-        if matches!(self.peek(), Some(b'e' | b'E')) {
-            self.i += 1;
-            if matches!(self.peek(), Some(b'+' | b'-')) {
-                self.i += 1;
-            }
-            digits(self)?;
-        }
-        Ok(())
-    }
-}
-
-/// A parsed JSON value.
+/// A parsed JSON value. Numbers, strings and object keys borrow from the
+/// parsed text where they can (a string needs an owned copy only if it
+/// holds an escape); values built in code use `Cow::Borrowed` literals or
+/// owned strings.
 #[derive(Debug, Clone, PartialEq)]
-pub enum Value {
+pub enum Value<'a> {
     /// `null`
     Null,
     /// `true` / `false`
     Bool(bool),
     /// A number, kept as its source token (integer-exact round-trips).
-    Num(String),
+    Num(Cow<'a, str>),
     /// A string (unescaped).
-    Str(String),
+    Str(Cow<'a, str>),
     /// An array.
-    Arr(Vec<Value>),
+    Arr(Vec<Value<'a>>),
     /// An object, in source key order.
-    Obj(Vec<(String, Value)>),
+    Obj(Vec<(Cow<'a, str>, Value<'a>)>),
 }
 
-impl Value {
+impl<'a> Value<'a> {
     /// Object member lookup.
-    pub fn get(&self, key: &str) -> Option<&Value> {
+    pub fn get(&self, key: &str) -> Option<&Value<'a>> {
         match self {
             Value::Obj(members) => members.iter().find(|(k, _)| k == key).map(|(_, v)| v),
             _ => None,
@@ -259,7 +92,7 @@ impl Value {
     }
 
     /// The value as an array slice.
-    pub fn as_arr(&self) -> Option<&[Value]> {
+    pub fn as_arr(&self) -> Option<&[Value<'a>]> {
         match self {
             Value::Arr(v) => Some(v),
             _ => None,
@@ -268,7 +101,7 @@ impl Value {
 
     /// Required-member helpers for artifact decoding: error out with the
     /// member path instead of panicking on malformed input.
-    pub fn req(&self, key: &str) -> Result<&Value, String> {
+    pub fn req(&self, key: &str) -> Result<&Value<'a>, String> {
         self.get(key)
             .ok_or_else(|| format!("missing member {key:?}"))
     }
@@ -288,14 +121,16 @@ impl Value {
     }
 }
 
-/// Parse a JSON document. Recursive descent over the full value grammar
-/// (escapes decoded, whitespace tolerated); errors carry a byte offset.
-pub fn parse(input: &str) -> Result<Value, String> {
-    let bytes = input.as_bytes();
+/// Parse a JSON document (RFC 8259 grammar). Recursive descent, linear in
+/// the input: numbers, keys and escape-free strings borrow from `input`,
+/// escapes are decoded (surrogate pairs to one scalar), raw control
+/// characters in strings are rejected and arrays/objects nested more
+/// than 128 deep are an error. Errors carry a byte offset.
+pub fn parse(input: &str) -> Result<Value<'_>, String> {
     let mut pos = 0usize;
-    let value = parse_value(bytes, &mut pos)?;
-    p_skip_ws(bytes, &mut pos);
-    if pos != bytes.len() {
+    let value = parse_value(input, &mut pos, 0)?;
+    p_skip_ws(input.as_bytes(), &mut pos);
+    if pos != input.len() {
         return Err(format!("trailing data at byte {pos}"));
     }
     Ok(value)
@@ -317,21 +152,28 @@ fn p_expect(bytes: &[u8], pos: &mut usize, byte: u8) -> Result<(), String> {
     }
 }
 
-fn parse_value(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_value<'a>(src: &'a str, pos: &mut usize, depth: usize) -> Result<Value<'a>, String> {
+    let bytes = src.as_bytes();
     p_skip_ws(bytes, pos);
     match bytes.get(*pos) {
-        Some(b'{') => parse_obj(bytes, pos),
-        Some(b'[') => parse_arr(bytes, pos),
-        Some(b'"') => Ok(Value::Str(parse_string(bytes, pos)?)),
+        Some(b'{' | b'[') if depth >= MAX_DEPTH => Err(format!("nesting too deep at byte {pos}")),
+        Some(b'{') => parse_obj(src, pos, depth + 1),
+        Some(b'[') => parse_arr(src, pos, depth + 1),
+        Some(b'"') => Ok(Value::Str(parse_string(src, pos)?)),
         Some(b't') => parse_lit(bytes, pos, "true", Value::Bool(true)),
         Some(b'f') => parse_lit(bytes, pos, "false", Value::Bool(false)),
         Some(b'n') => parse_lit(bytes, pos, "null", Value::Null),
-        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(bytes, pos),
-        _ => Err(format!("unexpected input at byte {pos}")),
+        Some(c) if c.is_ascii_digit() || *c == b'-' => parse_num(src, pos),
+        _ => Err(format!("expected a JSON value at byte {pos}")),
     }
 }
 
-fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<Value, String> {
+fn parse_lit<'a>(
+    bytes: &[u8],
+    pos: &mut usize,
+    lit: &str,
+    value: Value<'a>,
+) -> Result<Value<'a>, String> {
     if bytes[*pos..].starts_with(lit.as_bytes()) {
         *pos += lit.len();
         Ok(value)
@@ -340,73 +182,138 @@ fn parse_lit(bytes: &[u8], pos: &mut usize, lit: &str, value: Value) -> Result<V
     }
 }
 
-fn parse_num(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Advance over one or more ASCII digits.
+fn p_digits(bytes: &[u8], pos: &mut usize) -> Result<(), String> {
+    let start = *pos;
+    while bytes.get(*pos).is_some_and(u8::is_ascii_digit) {
+        *pos += 1;
+    }
+    if *pos == start {
+        return Err(format!("expected digits at byte {pos}"));
+    }
+    Ok(())
+}
+
+/// `-? (0 | [1-9][0-9]*) (. [0-9]+)? ([eE] [+-]? [0-9]+)?`
+fn parse_num<'a>(src: &'a str, pos: &mut usize) -> Result<Value<'a>, String> {
+    let bytes = src.as_bytes();
     let start = *pos;
     if bytes.get(*pos) == Some(&b'-') {
         *pos += 1;
     }
-    while *pos < bytes.len()
-        && matches!(bytes[*pos], b'0'..=b'9' | b'.' | b'e' | b'E' | b'+' | b'-')
-    {
+    if bytes.get(*pos) == Some(&b'0') {
         *pos += 1;
+    } else {
+        p_digits(bytes, pos)?;
     }
-    if *pos == start {
-        return Err(format!("empty number at byte {start}"));
+    if bytes.get(*pos) == Some(&b'.') {
+        *pos += 1;
+        p_digits(bytes, pos)?;
     }
-    Ok(Value::Num(
-        std::str::from_utf8(&bytes[start..*pos])
-            .map_err(|_| "non-utf8 number".to_string())?
-            .to_string(),
-    ))
+    if matches!(bytes.get(*pos), Some(b'e' | b'E')) {
+        *pos += 1;
+        if matches!(bytes.get(*pos), Some(b'+' | b'-')) {
+            *pos += 1;
+        }
+        p_digits(bytes, pos)?;
+    }
+    Ok(Value::Num(Cow::Borrowed(&src[start..*pos])))
 }
 
-fn parse_string(bytes: &[u8], pos: &mut usize) -> Result<String, String> {
+/// Parse a string literal. Each run of plain bytes up to the next quote,
+/// backslash or control byte is taken as one slice of `src` (already
+/// valid UTF-8, and every delimiter is ASCII, so the slice boundaries are
+/// character boundaries): borrowed when the string has no escape, else
+/// appended to an owned copy with one `push_str`.
+fn parse_string<'a>(src: &'a str, pos: &mut usize) -> Result<Cow<'a, str>, String> {
+    let bytes = src.as_bytes();
     p_expect(bytes, pos, b'"')?;
-    let mut out = String::new();
+    let mut owned: Option<String> = None;
     loop {
+        let run = *pos;
+        while bytes
+            .get(*pos)
+            .is_some_and(|&c| c != b'"' && c != b'\\' && c >= 0x20)
+        {
+            *pos += 1;
+        }
+        let plain = &src[run..*pos];
         match bytes.get(*pos) {
-            None => return Err("unterminated string".into()),
+            None => return Err(format!("unterminated string at byte {pos}")),
             Some(b'"') => {
                 *pos += 1;
-                return Ok(out);
+                return Ok(match owned {
+                    None => Cow::Borrowed(plain),
+                    Some(mut out) => {
+                        out.push_str(plain);
+                        Cow::Owned(out)
+                    }
+                });
             }
             Some(b'\\') => {
+                let out = owned.get_or_insert_with(String::new);
+                out.push_str(plain);
                 *pos += 1;
-                match bytes.get(*pos) {
-                    Some(b'"') => out.push('"'),
-                    Some(b'\\') => out.push('\\'),
-                    Some(b'/') => out.push('/'),
-                    Some(b'n') => out.push('\n'),
-                    Some(b't') => out.push('\t'),
-                    Some(b'r') => out.push('\r'),
-                    Some(b'u') => {
-                        let hex = bytes
-                            .get(*pos + 1..*pos + 5)
-                            .ok_or("truncated \\u escape")?;
-                        let code = u32::from_str_radix(
-                            std::str::from_utf8(hex).map_err(|_| "bad \\u escape")?,
-                            16,
-                        )
-                        .map_err(|e| e.to_string())?;
-                        out.push(char::from_u32(code).unwrap_or('\u{FFFD}'));
-                        *pos += 4;
-                    }
-                    _ => return Err(format!("bad escape at byte {pos}")),
-                }
-                *pos += 1;
+                out.push(parse_escape(bytes, pos)?);
             }
-            Some(_) => {
-                // Copy one UTF-8 scalar (possibly multi-byte).
-                let rest = std::str::from_utf8(&bytes[*pos..]).map_err(|_| "non-utf8 string")?;
-                let ch = rest.chars().next().expect("non-empty");
-                out.push(ch);
-                *pos += ch.len_utf8();
-            }
+            Some(_) => return Err(format!("raw control character in string at byte {pos}")),
         }
     }
 }
 
-fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+/// Decode the escape after a backslash (`pos` is just past it). A
+/// `\u` high surrogate must be followed by a `\u` low surrogate; the
+/// pair decodes to one scalar value, and a lone surrogate is an error.
+fn parse_escape(bytes: &[u8], pos: &mut usize) -> Result<char, String> {
+    let c = match bytes.get(*pos) {
+        Some(b'"') => '"',
+        Some(b'\\') => '\\',
+        Some(b'/') => '/',
+        Some(b'b') => '\u{8}',
+        Some(b'f') => '\u{c}',
+        Some(b'n') => '\n',
+        Some(b'r') => '\r',
+        Some(b't') => '\t',
+        Some(b'u') => {
+            let at = *pos;
+            let lone = || format!("lone surrogate at byte {at}");
+            let hi = p_hex4(bytes, at + 1)?;
+            *pos += 5;
+            let code = match hi {
+                0xD800..=0xDBFF if bytes[*pos..].starts_with(b"\\u") => {
+                    let lo = p_hex4(bytes, *pos + 2)?;
+                    if !(0xDC00..=0xDFFF).contains(&lo) {
+                        return Err(lone());
+                    }
+                    *pos += 6;
+                    0x10000 + ((hi - 0xD800) << 10) + (lo - 0xDC00)
+                }
+                0xD800..=0xDFFF => return Err(lone()),
+                _ => hi,
+            };
+            return char::from_u32(code).ok_or_else(|| format!("bad \\u escape at byte {at}"));
+        }
+        _ => return Err(format!("bad escape at byte {pos}")),
+    };
+    *pos += 1;
+    Ok(c)
+}
+
+/// The four hex digits at `at` (exactly `[0-9a-fA-F]{4}`, no sign).
+fn p_hex4(bytes: &[u8], at: usize) -> Result<u32, String> {
+    let digits = bytes
+        .get(at..at + 4)
+        .ok_or_else(|| format!("truncated \\u escape at byte {at}"))?;
+    digits.iter().try_fold(0, |acc, &d| {
+        char::from(d)
+            .to_digit(16)
+            .map(|v| acc * 16 + v)
+            .ok_or_else(|| format!("bad \\u escape at byte {at}"))
+    })
+}
+
+fn parse_arr<'a>(src: &'a str, pos: &mut usize, depth: usize) -> Result<Value<'a>, String> {
+    let bytes = src.as_bytes();
     p_expect(bytes, pos, b'[')?;
     let mut items = Vec::new();
     p_skip_ws(bytes, pos);
@@ -415,7 +322,7 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Arr(items));
     }
     loop {
-        items.push(parse_value(bytes, pos)?);
+        items.push(parse_value(src, pos, depth)?);
         p_skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -428,7 +335,8 @@ fn parse_arr(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
+fn parse_obj<'a>(src: &'a str, pos: &mut usize, depth: usize) -> Result<Value<'a>, String> {
+    let bytes = src.as_bytes();
     p_expect(bytes, pos, b'{')?;
     let mut members = Vec::new();
     p_skip_ws(bytes, pos);
@@ -437,10 +345,9 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
         return Ok(Value::Obj(members));
     }
     loop {
-        p_skip_ws(bytes, pos);
-        let key = parse_string(bytes, pos)?;
+        let key = parse_string(src, pos)?;
         p_expect(bytes, pos, b':')?;
-        members.push((key, parse_value(bytes, pos)?));
+        members.push((key, parse_value(src, pos, depth)?));
         p_skip_ws(bytes, pos);
         match bytes.get(*pos) {
             Some(b',') => *pos += 1,
@@ -453,13 +360,11 @@ fn parse_obj(bytes: &[u8], pos: &mut usize) -> Result<Value, String> {
     }
 }
 
-/// Escape and quote a string for JSON output.
-pub fn quote(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
+/// Append `s` to `out` as an escaped, quoted JSON string.
+fn quote_into(out: &mut String, s: &str) {
     out.push('"');
-    escape_into(&mut out, s);
+    escape_into(out, s);
     out.push('"');
-    out
 }
 
 /// Render a [`Value`] as compact JSON (deterministic: member order is the
@@ -475,7 +380,7 @@ fn render_into(value: &Value, out: &mut String) {
         Value::Null => out.push_str("null"),
         Value::Bool(b) => out.push_str(if *b { "true" } else { "false" }),
         Value::Num(tok) => out.push_str(tok),
-        Value::Str(s) => out.push_str(&quote(s)),
+        Value::Str(s) => quote_into(out, s),
         Value::Arr(items) => {
             out.push('[');
             for (i, item) in items.iter().enumerate() {
@@ -492,7 +397,7 @@ fn render_into(value: &Value, out: &mut String) {
                 if i > 0 {
                     out.push(',');
                 }
-                out.push_str(&quote(k));
+                quote_into(out, k);
                 out.push(':');
                 render_into(v, out);
             }
@@ -502,13 +407,14 @@ fn render_into(value: &Value, out: &mut String) {
 }
 
 /// Convenience constructor for a JSON number from any displayable value.
-pub fn num(n: impl std::fmt::Display) -> Value {
-    Value::Num(n.to_string())
+pub fn num(n: impl std::fmt::Display) -> Value<'static> {
+    Value::Num(Cow::Owned(n.to_string()))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     #[test]
     fn value_round_trips_a_document() {
@@ -530,49 +436,7 @@ mod tests {
         assert_eq!(back.req_u64("seed").unwrap(), u64::MAX);
         assert_eq!(back.get("delta").unwrap().as_i64(), Some(-42));
         assert_eq!(back.req_str("name").unwrap(), "two-node \"launch\"");
-    }
-
-    #[test]
-    fn value_parser_rejects_malformed_input() {
-        assert!(parse("{").is_err());
-        assert!(parse("[1,]").is_err());
-        assert!(parse("{\"a\":1} trailing").is_err());
-        assert!(parse("\"unterminated").is_err());
-        let missing = Value::Obj(vec![]);
-        assert!(missing.req_u64("absent").is_err());
-    }
-
-    #[test]
-    fn accepts_well_formed_json() {
-        for ok in [
-            "null",
-            "true",
-            "-12.5e+3",
-            "\"a\\n\\u00e9b\"",
-            "[]",
-            "{}",
-            "[1, [2, {\"k\": \"v\"}], false]",
-            "  {\"a\": {\"b\": [1, 2, 3]}}  ",
-        ] {
-            validate_json(ok).unwrap_or_else(|e| panic!("{ok}: {e}"));
-        }
-    }
-
-    #[test]
-    fn rejects_malformed_json() {
-        for bad in [
-            "",
-            "{",
-            "[1,]",
-            "{\"a\" 1}",
-            "{\"a\": 1} x",
-            "\"unterminated",
-            "nul",
-            "01x",
-            "\"bad \\q escape\"",
-        ] {
-            assert!(validate_json(bad).is_err(), "accepted: {bad}");
-        }
+        assert!(back.req_u64("absent").is_err());
     }
 
     #[test]
@@ -581,5 +445,156 @@ mod tests {
         escape_into(&mut s, "line\nquote\" back\\slash tab\t ctl\u{1} é");
         s.push('"');
         validate_json(&s).unwrap();
+    }
+
+    /// One grammar: `parse` and `validate_json` give the same verdict on
+    /// every input, and that verdict is RFC 8259's.
+    #[test]
+    fn parse_and_validate_share_one_grammar() {
+        let table: &[(&str, bool)] = &[
+            // Values and structure.
+            ("null", true),
+            ("true", true),
+            ("[]", true),
+            ("{}", true),
+            ("[1, [2, {\"k\": \"v\"}], false]", true),
+            ("  {\"a\": {\"b\": [1, 2, 3]}}  ", true),
+            ("", false),
+            ("nul", false),
+            ("tru", false),
+            ("{", false),
+            ("[1,]", false),
+            ("[1 2]", false),
+            ("{\"a\" 1}", false),
+            ("{\"a\":1,}", false),
+            ("{1:2}", false),
+            ("{\"a\": 1} x", false),
+            ("[] []", false),
+            // Numbers.
+            ("0", true),
+            ("-0", true),
+            ("12", true),
+            ("1.5e-3", true),
+            ("1E+2", true),
+            ("-", false),
+            ("--1", false),
+            ("+1", false),
+            ("1.2.3", false),
+            ("1.", false),
+            (".5", false),
+            ("1e", false),
+            ("1e+", false),
+            ("01", false),
+            ("01x", false),
+            ("-12.5e+3", true),
+            // Strings and escapes.
+            ("\"a\\n\\u00e9b\"", true),
+            ("\"unterminated", false),
+            ("\"bad \\q escape\"", false),
+            ("\"\\b\"", true),
+            ("\"\\f\"", true),
+            ("\"\\/\"", true),
+            ("\"a\tb\"", false),
+            ("\"a\nb\"", false),
+            ("\"\\u0041\"", true),
+            ("\"\\u+041\"", false),
+            ("\"\\u004\"", false),
+            ("\"\\ud83d\\ude00\"", true),
+            ("\"\\ud83d\"", false),
+            ("\"\\ud83dx\"", false),
+            ("\"\\ud83d\\u0041\"", false),
+            ("\"\\ude00\"", false),
+        ];
+        for &(input, ok) in table {
+            assert_eq!(parse(input).is_ok(), ok, "parse({input:?})");
+            assert_eq!(validate_json(input).is_ok(), ok, "validate_json({input:?})");
+        }
+    }
+
+    #[test]
+    fn nesting_is_limited_without_overflowing_the_stack() {
+        let arrays = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        let objects = |n: usize| format!("{}1{}", "{\"a\":".repeat(n), "}".repeat(n));
+        parse(&arrays(MAX_DEPTH)).unwrap();
+        parse(&objects(MAX_DEPTH)).unwrap();
+        assert!(parse(&arrays(MAX_DEPTH + 1)).is_err());
+        assert!(parse(&objects(MAX_DEPTH + 1)).is_err());
+        let err = parse(&"[".repeat(1 << 20)).unwrap_err();
+        assert!(err.contains("too deep"), "got: {err}");
+    }
+
+    #[test]
+    fn unicode_escapes_decode_to_scalar_values() {
+        let s = |text: &str| parse(text).unwrap().as_str().unwrap().to_string();
+        assert_eq!(s("\"\\u0041\\u00e9\\u20AC\""), "Aé€");
+        assert_eq!(s("\"\\ud83d\\ude00\""), "\u{1F600}");
+        assert_eq!(s("\"x\\b\\f\""), "x\u{8}\u{c}");
+    }
+
+    #[test]
+    fn escape_free_tokens_borrow_from_the_input() {
+        let doc = parse("{\"key\": [\"plain\", 42, \"esc\\n\"]}").unwrap();
+        let Value::Obj(members) = &doc else {
+            panic!("not an object")
+        };
+        assert!(matches!(members[0].0, Cow::Borrowed("key")));
+        let items = doc.req("key").unwrap().as_arr().unwrap();
+        assert!(matches!(items[0], Value::Str(Cow::Borrowed("plain"))));
+        assert!(matches!(items[1], Value::Num(Cow::Borrowed("42"))));
+        assert!(matches!(&items[2], Value::Str(Cow::Owned(s)) if s == "esc\n"));
+    }
+
+    /// Strings mixing quotes, backslashes, control characters, multi-byte
+    /// characters and plain ASCII.
+    fn text(len: std::ops::Range<usize>) -> impl Strategy<Value = String> {
+        prop::collection::vec((0u32..5, 0u32..0x11_0000), len).prop_map(|picks| {
+            picks
+                .into_iter()
+                .map(|(kind, cp)| match kind {
+                    0 => ['"', '\\', '/'][cp as usize % 3],
+                    1 => char::from_u32(cp % 0x20).expect("control character"),
+                    2 => char::from_u32(cp).unwrap_or('\u{FFFD}'),
+                    3 => ['é', '€', '\u{1F600}', '\u{7f}', '\u{2028}'][cp as usize % 5],
+                    _ => char::from(b' ' + (cp % 95) as u8),
+                })
+                .collect()
+        })
+    }
+
+    fn round_trip(key: &str, value: &str) {
+        let doc = Value::Obj(vec![
+            (key.into(), Value::Str(value.into())),
+            (
+                value.into(),
+                Value::Arr(vec![Value::Str(key.into()), num(7)]),
+            ),
+        ]);
+        let text = render(&doc);
+        assert_eq!(parse(&text).unwrap(), doc, "{text:?}");
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(256))]
+        #[test]
+        fn render_then_parse_round_trips_arbitrary_strings(
+            key in text(0..24),
+            value in text(0..96),
+        ) {
+            round_trip(&key, &value);
+        }
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(6))]
+        #[test]
+        fn render_then_parse_round_trips_runs_over_64_kib(
+            n in 70_000usize..80_000,
+            head in text(0..8),
+            tail in text(0..8),
+        ) {
+            let long = format!("{head}{}{tail}", "x\u{20AC}".repeat(n / 4));
+            round_trip(&head, &long);
+            round_trip(&long, &tail);
+        }
     }
 }

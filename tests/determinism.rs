@@ -603,7 +603,7 @@ fn chrome_trace_is_valid_and_ordering_is_deterministic() {
                     e.req("name").unwrap().as_str().unwrap().to_string(),
                     e.req("ph").unwrap().as_str().unwrap().to_string(),
                     match e.get("ts") {
-                        Some(json::Value::Num(tok)) => tok.clone(),
+                        Some(json::Value::Num(tok)) => tok.to_string(),
                         _ => String::new(),
                     },
                     e.req("pid").unwrap().as_u64().unwrap(),
